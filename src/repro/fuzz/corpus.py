@@ -1,43 +1,37 @@
-"""Content-addressed reproducer corpus.
+"""Content-addressed reproducer corpus: a layout on the one store.
 
-Every failure a campaign confirms becomes one *bundle* — a directory
-named by a digest of the minimized scenario plus its oracle signature,
-holding everything a human (or the regression suite) needs to replay
-the bug without the generator:
+Every failure a campaign confirms becomes one *bundle*: an entry of
+:class:`repro.perf.store.Store` keyed by a 16-hex digest of the
+minimized scenario plus its oracle signature, so a bug found by fifty
+seeds files one bundle. It holds everything a human (or the regression
+suite) needs to replay the bug without the generator::
 
-    <corpus>/<id>/
+    <corpus>/<id[:2]>/<id>/
         scenario.json   minimized scenario (canonical JSON)
         original.json   the scenario as generated, pre-minimization
         finding.json    seed, gen version, signature, verdicts, sizes
         result.json     canonical result of running scenario.json
         run.json        run manifest of an observed replay
         trace.json      Perfetto trace of the same replay
+        manifest.json   the store's checksums
 
-The id is content-addressed (same minimized scenario + same signature
-→ same id), so campaigns dedupe across runs for free: a bug found by
-fifty seeds files one bundle. Publication is atomic — bundles are
-assembled in a temp directory and renamed into place, so a killed
-campaign never leaves a half-written bundle that the pytest replay
-hook would trip over.
-
-``tests/test_fuzz.py`` replays every bundle under ``tests/corpus/``
-(committed regressions) plus ``$REPRO_FUZZ_CORPUS`` (a local campaign
-corpus) and asserts the stored signature still reproduces.
+The store publishes a bundle with one rename and checks it on load, so
+a killed campaign never leaves a half-written bundle for replay to trip
+over. ``tests/test_fuzz.py`` replays every bundle under
+``tests/corpus/`` (committed regressions) plus ``$REPRO_FUZZ_CORPUS``
+(a local campaign corpus) and asserts the signature still reproduces.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
 from pathlib import Path
 from typing import Any, Iterator
 
-CORPUS_DIR_ENV = "REPRO_FUZZ_CORPUS"
+from repro.perf.store import Store
 
-#: bundle files that must exist for an entry to count as published
-REQUIRED = ("scenario.json", "finding.json")
+CORPUS_DIR_ENV = "REPRO_FUZZ_CORPUS"
 
 
 def canonical(doc: Any) -> str:
@@ -53,12 +47,12 @@ def entry_id(scenario: dict, signature: list[list[str]]) -> str:
 
 
 class Corpus:
-    """A directory of reproducer bundles."""
+    """A store of reproducer bundles."""
 
     def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
+        self.store = Store(root)
+        self.root = self.store.root
 
-    # -- write ---------------------------------------------------------
     def add(
         self,
         scenario: dict,
@@ -73,58 +67,32 @@ class Corpus:
         stamped in); ``extra`` maps further artifact names to bytes
         (original.json, result.json, run.json, trace.json)."""
         eid = entry_id(scenario, signature)
-        dst = self.root / eid
-        if (dst / "finding.json").is_file():
-            return eid, False
-        files: dict[str, bytes] = {
+        extra = extra or {}
+        if {"scenario.json", "finding.json"} & set(extra):
+            raise ValueError("extra bundle artifacts may not replace scenario/finding")
+        files = {
+            **extra,
             "scenario.json": canonical(scenario).encode() + b"\n",
             "finding.json": json.dumps(
                 {"id": eid, "signature": signature, **finding},
                 indent=1, sort_keys=True,
             ).encode() + b"\n",
         }
-        for name, blob in (extra or {}).items():
-            if name in files or "/" in name or name.startswith("."):
-                raise ValueError(f"bad bundle artifact name {name!r}")
-            files[name] = blob
-        tmp = self.root / f".tmp-{eid}-{os.getpid()}-{threading.get_ident()}"
-        tmp.mkdir(parents=True, exist_ok=True)
-        try:
-            for name, blob in sorted(files.items()):
-                (tmp / name).write_bytes(blob)
-            try:
-                os.rename(tmp, dst)
-            except OSError:
-                # racing publisher of the same content-addressed id
-                if not (dst / "finding.json").is_file():
-                    raise
-                return eid, False
-        finally:
-            if tmp.is_dir():
-                for leftover in tmp.iterdir():
-                    leftover.unlink()
-                tmp.rmdir()
-        return eid, True
+        label = "/".join(signature[0]) if signature else "clean"
+        return eid, self.store.publish(eid, files, {"label": label})
 
-    # -- read ----------------------------------------------------------
     def ids(self) -> list[str]:
-        if not self.root.is_dir():
-            return []
-        out = []
-        for child in sorted(self.root.iterdir()):
-            if child.name.startswith(".") or not child.is_dir():
-                continue
-            if all((child / name).is_file() for name in REQUIRED):
-                out.append(child.name)
-        return out
+        return self.store.keys()
 
     def load(self, eid: str) -> dict:
         """One bundle's scenario + finding (raises on a broken entry)."""
-        base = self.root / eid
+        entry = self.store.get(eid)
+        if entry is None:
+            raise KeyError(f"no intact bundle {eid!r} under {self.root}")
         return {
             "id": eid,
-            "scenario": json.loads((base / "scenario.json").read_bytes()),
-            "finding": json.loads((base / "finding.json").read_bytes()),
+            "scenario": json.loads(entry.files["scenario.json"]),
+            "finding": json.loads(entry.files["finding.json"]),
         }
 
     def entries(self) -> Iterator[dict]:

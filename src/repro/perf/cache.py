@@ -1,34 +1,21 @@
 """Content-addressed run cache for deterministic sweep points.
 
-Every sweep point is a pure function of its descriptor: the module-
-qualified ``fn`` plus plain-data kwargs fully determine the result
-(seeds travel inside the kwargs, and serial/parallel cycle identity is
-a tested invariant). That makes memoization sound by construction —
-the only way a cached result can go stale is the *code* changing, so
-the cache key is built from three parts:
+A sweep point is a pure function of its descriptor (the ``fn`` spec
+plus plain-data kwargs, seeds included), so its result can only go
+stale when the *code* changes. The cache is a layout on the one store
+(:mod:`repro.perf.store`): a point's key is the store's content key over
+its descriptor, the **code fingerprint** of its module (SHA-256 over the
+source of every ``repro`` module it transitively imports: a static
+``ast`` walk memoized by mtime/size, so editing a module re-runs exactly
+the points that could reach it) and the **observation key** (``repr()``
+of the active :class:`~repro.obs.session.ObsConfig`, empty when
+unobserved: observed runs also cache their observation payload). The
+entry holds ``result.pkl``, checksummed and re-run if corrupt. Cost
+records live in the nested store ``costs/``, keyed *without* the
+fingerprint, so after a code edit misses still run longest-cost-first
+and a miss whose cost record exists counts as an *invalidation*.
 
-* **descriptor hash** — SHA-256 over the schema version, the ``fn``
-  spec, and the sorted kwargs items;
-* **code fingerprint** — SHA-256 over the source of the point
-  function's module plus every ``repro`` module it transitively
-  imports (static ``ast`` walk, memoized by mtime/size). Editing any
-  module in that closure changes the fingerprint, so only the points
-  that could be affected re-run;
-* **observation key** — ``repr()`` of the active
-  :class:`~repro.obs.session.ObsConfig` (empty when unobserved), since
-  an observed run caches its observation payload alongside the result.
-
-Entries live under ``<cache-dir>/objects/<k[:2]>/<k>.pkl`` as a
-SHA-256 digest line followed by a pickled payload; a digest mismatch
-(truncated or bit-flipped file) is detected on load, counted as
-*corrupt*, and the point transparently re-runs. A sidecar under
-``costs/`` remembers each point's last measured wall cost *keyed
-without the fingerprint*, so after a code edit the scheduler still
-knows which points were expensive (longest-cost-first dispatch) and a
-missing entry whose cost sidecar exists is counted as an
-*invalidation* rather than a plain miss.
-
-Maintenance tool::
+Maintenance tool, for any store root (run cache, serve store, corpus)::
 
     python -m repro.perf.cache stats   [--cache-dir D]
     python -m repro.perf.cache gc      [--max-age-days N] [--max-bytes B] [--all]
@@ -36,9 +23,8 @@ Maintenance tool::
     python -m repro.perf.cache fingerprint        # repo-wide, for CI cache keys
     python -m repro.perf.cache bench   [--min-speedup X] [--jobs N]
 
-``verify`` re-runs a random sample of cached points from scratch and
-compares results bit-for-bit (pickled bytes) — the defence against a
-stale or corrupted cache silently feeding a table.
+``verify`` checks every entry's checksums, then re-runs sampled points
+from scratch and compares the pickled results bit-for-bit.
 """
 
 from __future__ import annotations
@@ -47,26 +33,27 @@ import argparse
 import ast
 import hashlib
 import importlib.util
-import itertools
-import json
 import os
 import pickle
 import sys
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
+
+from repro.perf.store import Store, StoreStats, content_key, descriptor_hash
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.perf.sweep import SweepPoint
 
 #: bump to orphan every existing entry (schema migrations)
 CACHE_SCHEMA = 1
-
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".repro_cache"
-
+#: the one file of a run-cache entry: pickled result + observation payload
+PAYLOAD = "result.pkl"
 _PICKLE_PROTO = 4
 
 
@@ -197,126 +184,44 @@ def repo_fingerprint() -> str:
 
 
 # ----------------------------------------------------------------------
-# The cache proper
+# The cache proper: a layout on the store
 # ----------------------------------------------------------------------
-class CacheStats:
-    """Hit/miss accounting for one :class:`RunCache` instance.
-
-    Counter bumps go through :meth:`bump` under a lock — one cache
-    instance may be shared by many ``repro.serve`` job threads."""
-
-    FIELDS = ("hits", "misses", "stores", "invalidations", "corrupt", "uncacheable")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        for f in self.FIELDS:
-            setattr(self, f, 0)
-
-    def bump(self, field: str, n: int = 1) -> None:
-        if field not in self.FIELDS:
-            raise ValueError(f"unknown cache stat {field!r}")
-        with self._lock:
-            setattr(self, field, getattr(self, field) + n)
-
-    def snapshot(self) -> dict[str, int]:
-        return {f: getattr(self, f) for f in self.FIELDS}
-
-    def delta(self, before: dict[str, int]) -> dict[str, int]:
-        """Counter movement since a :meth:`snapshot` was taken."""
-        return {f: getattr(self, f) - before.get(f, 0) for f in self.FIELDS}
-
-    def summary(self) -> str:
-        return (
-            f"{self.hits} hits, {self.misses} misses "
-            f"({self.invalidations} invalidated, {self.corrupt} corrupt), "
-            f"{self.stores} stored"
-        )
+CacheStats = StoreStats
 
 
 class RunCache:
     """Content-addressed on-disk store of sweep-point results."""
 
     def __init__(self, root: str | Path | None = None) -> None:
-        self.root = Path(
-            root or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
-        )
+        self.root = Path(root or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
         self.stats = CacheStats()
+        self.store = Store(self.root, self.stats)
+        self.costs = Store(self.root / "costs", self.stats)
 
-    # -- keys ----------------------------------------------------------
-    def descriptor_hash(self, point: "SweepPoint") -> str:
-        """Identity of the *work* (fn + kwargs), fingerprint-free —
-        stable across code edits, so costs survive invalidation."""
-        payload = repr((CACHE_SCHEMA, point.fn, sorted(point.kwargs.items())))
-        return hashlib.sha256(payload.encode()).hexdigest()
+    def _cost_key(self, point: "SweepPoint") -> str:
+        return descriptor_hash(CACHE_SCHEMA, point.fn, point.kwargs)
 
     def key_for(self, point: "SweepPoint", fingerprint: str, obs_key: str = "") -> str:
-        payload = f"{self.descriptor_hash(point)}\n{fingerprint}\n{obs_key}"
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return content_key(CACHE_SCHEMA, point.fn, point.kwargs, fingerprint, obs_key)
 
-    def _obj_path(self, key: str) -> Path:
-        return self.root / "objects" / key[:2] / f"{key}.pkl"
-
-    def _cost_path(self, dhash: str) -> Path:
-        return self.root / "costs" / dhash[:2] / f"{dhash}.json"
-
-    # -- entry encoding ------------------------------------------------
-    @staticmethod
-    def _encode(entry: dict[str, Any]) -> bytes:
-        payload = pickle.dumps(entry, protocol=_PICKLE_PROTO)
-        return hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload
-
-    @staticmethod
-    def _decode(blob: bytes) -> dict[str, Any] | None:
-        digest, sep, payload = blob.partition(b"\n")
-        if not sep or hashlib.sha256(payload).hexdigest().encode() != digest:
-            return None
-        try:
-            entry = pickle.loads(payload)
-        except Exception:
-            return None
-        return entry if isinstance(entry, dict) and "result" in entry else None
-
-    #: distinguishes temp files written by threads sharing one pid
-    _tmp_seq = itertools.count()
-
-    def _write_atomic(self, path: Path, blob: bytes) -> None:
-        """Publish ``blob`` at ``path`` via write-to-temp + atomic
-        rename. The temp name is unique per (pid, thread, sequence), so
-        two jobs materializing the *same* entry concurrently never
-        stomp each other's half-written file — whoever renames last
-        wins, and both wrote identical content-addressed bytes."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / (
-            f".{path.name}.{os.getpid()}.{threading.get_ident()}"
-            f".{next(self._tmp_seq)}.tmp"
-        )
-        try:
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
-    # -- get / put -----------------------------------------------------
     def get(self, key: str, point: "SweepPoint") -> dict[str, Any] | None:
-        path = self._obj_path(key)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            self.stats.bump("misses")
-            if self._cost_path(self.descriptor_hash(point)).exists():
-                # the point was cached before under a different key:
-                # code (or observation config) changed underneath it
-                self.stats.bump("invalidations")
-            return None
-        entry = self._decode(blob)
-        if entry is None or entry.get("key") != key:
-            self.stats.bump("corrupt")
-            self.stats.bump("misses")
-            path.unlink(missing_ok=True)
-            return None
-        self.stats.bump("hits")
-        return entry
+        corrupt = self.stats.corrupt
+        entry = self.store.get(key)
+        if entry is not None:
+            try:
+                payload = pickle.loads(entry.files[PAYLOAD])
+            except Exception:  # intact bytes this code cannot unpickle
+                self.stats.bump("corrupt")
+                self.store.delete(key)
+            else:
+                self.stats.bump("hits")
+                return payload
+        self.stats.bump("misses")
+        if self.stats.corrupt == corrupt and self.costs.path(self._cost_key(point)).is_dir():
+            # cached before under another key: the code (or the
+            # observation config) changed underneath it
+            self.stats.bump("invalidations")
+        return None
 
     def put(
         self,
@@ -328,128 +233,53 @@ class RunCache:
         obs: dict | None,
         cost: float,
     ) -> None:
-        entry = {
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "fn": point.fn,
-            "kwargs": dict(point.kwargs),
-            "fingerprint": fingerprint,
-            "obs_key": obs_key,
-            "result": result,
-            "obs": obs,
-            "cost": cost,
-            "created": time.time(),
-        }
+        payload = {"fn": point.fn, "kwargs": dict(point.kwargs),
+                   "result": result, "obs": obs}
         try:
-            blob = self._encode(entry)
+            blob = pickle.dumps(payload, protocol=_PICKLE_PROTO)
         except Exception:
             self.stats.bump("uncacheable")
             return
-        self._write_atomic(self._obj_path(key), blob)
+        meta = {"label": point.fn, "fingerprint": fingerprint, "cost": cost}
+        self.store.publish(key, {PAYLOAD: blob}, meta)
         self.stats.bump("stores")
-        dhash = self.descriptor_hash(point)
-        cost_blob = json.dumps({"cost": cost, "fn": point.fn}).encode()
-        self._write_atomic(self._cost_path(dhash), cost_blob)
+        self.costs.publish(self._cost_key(point), {}, meta, replace=True)
 
     def recorded_cost(self, point: "SweepPoint") -> float | None:
         """Last measured wall cost of this point under *any* code
         version (drives longest-cost-first scheduling of misses)."""
-        try:
-            data = json.loads(self._cost_path(self.descriptor_hash(point)).read_bytes())
-            return float(data["cost"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
+        entry = self.costs.get(self._cost_key(point))
+        return None if entry is None else float(entry.meta["cost"])
 
-    # -- maintenance ---------------------------------------------------
-    def entries(self) -> Iterator[tuple[Path, dict[str, Any] | None]]:
-        """Every object file with its decoded entry (None = corrupt)."""
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return
-        for path in sorted(objects.glob("*/*.pkl")):
-            try:
-                yield path, self._decode(path.read_bytes())
-            except OSError:
-                continue
 
-    def size_bytes(self) -> int:
-        return sum(p.stat().st_size for p, _ in self.entries())
+def verify(store: Store, sample: int = 5, seed: int = 0, fix: bool = False) -> dict[str, int]:
+    """Check every entry's checksums (a corrupt one is deleted), then
+    re-run a random sample of run-cache points from scratch and compare
+    bit-for-bit. A point whose fingerprint no longer matches the code
+    is *stale* and skipped; a mismatch fails (and ``fix`` deletes it)."""
+    import random
 
-    def gc(
-        self,
-        max_age_days: float | None = None,
-        max_bytes: int | None = None,
-        everything: bool = False,
-    ) -> int:
-        """Delete entries by age, then oldest-first down to a byte
-        budget; ``everything`` wipes objects and cost sidecars both."""
-        removed = 0
-        files = [(p.stat().st_mtime, p) for p, _ in self.entries()]
-        if everything:
-            max_bytes = -1
-        if max_age_days is not None:
-            cutoff = time.time() - max_age_days * 86400.0
-            for mtime, path in list(files):
-                if mtime < cutoff:
-                    path.unlink(missing_ok=True)
-                    files.remove((mtime, path))
-                    removed += 1
-        if max_bytes is not None:
-            files.sort()  # oldest first
-            total = sum(p.stat().st_size for _, p in files)
-            while files and total > max_bytes:
-                _, path = files.pop(0)
-                total -= path.stat().st_size
-                path.unlink(missing_ok=True)
-                removed += 1
-        if everything:
-            costs = self.root / "costs"
-            if costs.is_dir():
-                for path in costs.glob("*/*.json"):
-                    path.unlink(missing_ok=True)
-        return removed
+    from repro.perf.sweep import SweepPoint, run_point
 
-    def verify(
-        self, sample: int = 5, seed: int = 0, fix: bool = False
-    ) -> dict[str, int]:
-        """Re-run a random sample of entries from scratch and compare
-        bit-for-bit. Entries whose fingerprint no longer matches the
-        current code are *stale* (skipped — their result may
-        legitimately differ); corrupt files and result mismatches are
-        the failures, optionally deleted with ``fix``."""
-        import random
-
-        from repro.perf.sweep import SweepPoint, run_point
-
-        report = {"checked": 0, "ok": 0, "mismatched": 0, "stale": 0, "corrupt": 0}
-        valid: list[tuple[Path, dict[str, Any]]] = []
-        for path, entry in self.entries():
-            if entry is None:
-                report["corrupt"] += 1
-                if fix:
-                    path.unlink(missing_ok=True)
-            else:
-                valid.append((path, entry))
-        chosen = random.Random(seed).sample(valid, min(sample, len(valid)))
-        for path, entry in chosen:
-            modname = entry["fn"].partition(":")[0]
-            if entry["fingerprint"] != code_fingerprint(modname):
-                report["stale"] += 1
-                continue
-            report["checked"] += 1
-            point = SweepPoint(entry["fn"], entry["kwargs"])
-            with activate(None):  # never satisfy a verify from the cache
-                fresh = run_point(point)
-            same = pickle.dumps(fresh, protocol=_PICKLE_PROTO) == pickle.dumps(
-                entry["result"], protocol=_PICKLE_PROTO
-            )
-            if same:
-                report["ok"] += 1
-            else:
-                report["mismatched"] += 1
-                if fix:
-                    path.unlink(missing_ok=True)
-        return report
+    checked = store.check()
+    report = {"entries": len(checked), "checked": 0, "ok": 0, "mismatched": 0,
+              "stale": 0, "corrupt": sum(e is None for e in checked.values())}
+    points = [e for e in checked.values() if e is not None and PAYLOAD in e.files]
+    for entry in random.Random(seed).sample(points, min(sample, len(points))):
+        payload = pickle.loads(entry.files[PAYLOAD])
+        if entry.meta["fingerprint"] != code_fingerprint(payload["fn"].partition(":")[0]):
+            report["stale"] += 1
+            continue
+        report["checked"] += 1
+        with activate(None):  # never satisfy a verify from the cache
+            fresh = run_point(SweepPoint(payload["fn"], payload["kwargs"]))
+        if pickle.dumps(fresh, _PICKLE_PROTO) == pickle.dumps(payload["result"], _PICKLE_PROTO):
+            report["ok"] += 1
+        else:
+            report["mismatched"] += 1
+            if fix:
+                store.delete(entry.key)
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -457,7 +287,7 @@ class RunCache:
 # each repro.serve job worker activates the *shared* RunCache on its
 # own thread without clobbering the activation of any other thread —
 # the cache object itself is safe to share (locked stats, atomic
-# writes), only the "is a cache active here" switch is per-thread.
+# publishes), only the "is a cache active here" switch is per-thread.
 # ----------------------------------------------------------------------
 _TLS = threading.local()
 
@@ -482,50 +312,49 @@ def activate(cache: RunCache | None) -> Iterator[RunCache | None]:
 # ----------------------------------------------------------------------
 # python -m repro.perf.cache
 # ----------------------------------------------------------------------
-def _cmd_stats(cache: RunCache) -> int:
-    n = bytes_total = corrupt = 0
-    by_fn: dict[str, int] = {}
-    for path, entry in cache.entries():
-        n += 1
-        bytes_total += path.stat().st_size
-        if entry is None:
-            corrupt += 1
-        else:
-            by_fn[entry["fn"]] = by_fn.get(entry["fn"], 0) + 1
-    print(f"cache dir: {cache.root}")
-    print(f"entries:   {n} ({bytes_total:,} bytes, {corrupt} corrupt)")
-    for fn, count in sorted(by_fn.items(), key=lambda kv: -kv[1]):
-        print(f"  {count:>5}  {fn}")
+def _cmd_stats(store: Store, args: argparse.Namespace) -> int:
+    checked = store.check()
+    sizes = {item.path: item.size for item in store.walk()}
+    for root in sorted({str(p.parent.parent) for p in checked} | {str(store.root)}):
+        mine = {p: e for p, e in checked.items() if str(p.parent.parent) == root}
+        size = sum(sizes.get(p, 0) for p in mine)
+        corrupt = sum(e is None for e in mine.values())
+        print(f"store dir: {root}")
+        print(f"entries:   {len(mine)} ({size:,} bytes, {corrupt} corrupt)")
+        labels = Counter(e.meta.get("label", "?") for e in mine.values() if e)
+        for label, count in labels.most_common():
+            print(f"  {count:>5}  {label}")
+    print(f"total:     {store.size_bytes():,} bytes, all removable by gc")
     return 0
 
 
-def _cmd_gc(cache: RunCache, args: argparse.Namespace) -> int:
-    removed = cache.gc(
-        max_age_days=args.max_age_days,
-        max_bytes=args.max_bytes,
-        everything=args.all,
-    )
-    print(f"removed {removed} entries from {cache.root}")
+def _cmd_gc(store: Store, args: argparse.Namespace) -> int:
+    removed = store.gc(args.max_age_days, args.max_bytes, args.all)
+    roots = Counter(str(p.parent.parent) for p in removed if p.name[0] != ".")
+    for root, n in sorted(roots.items()) or [(store.root, 0)]:
+        print(f"removed {n} entries from {root}")
+    print(f"removed {len(removed) - sum(roots.values())} dead-writer leftovers")
     return 0
 
 
-def _cmd_verify(cache: RunCache, args: argparse.Namespace) -> int:
-    report = cache.verify(sample=args.sample, seed=args.seed, fix=args.fix)
+def _cmd_verify(store: Store, args: argparse.Namespace) -> int:
+    report = verify(store, sample=args.sample, seed=args.seed, fix=args.fix)
     print(
         f"verified {report['checked']} sampled entries: {report['ok']} ok, "
         f"{report['mismatched']} mismatched, {report['stale']} stale (skipped), "
-        f"{report['corrupt']} corrupt"
+        f"{report['corrupt']} corrupt (of {report['entries']} checksummed)"
     )
-    bad = report["mismatched"] + report["corrupt"]
-    if bad:
+    if report["corrupt"]:
+        print("FAIL: corrupt entries found (deleted)")
+    if report["mismatched"]:
         print("FAIL: cache holds entries that do not reproduce"
               + (" (deleted)" if args.fix else " (re-run with --fix to drop them)"))
-    return 1 if bad else 0
+    return 1 if report["mismatched"] + report["corrupt"] else 0
 
 
 def _cmd_bench(cache: RunCache, args: argparse.Namespace) -> int:
     """Run the quick experiment sweep twice under the cache and gate on
-    the warm-run speedup (CI uses this after restoring ``objects/``)."""
+    the warm-run speedup (CI uses this after restoring the cache)."""
     from repro.cli import QUICK_ARGS
     from repro.experiments import ALL_EXPERIMENTS
 
@@ -569,26 +398,23 @@ def _cmd_bench(cache: RunCache, args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help=f"cache location (default: ${CACHE_DIR_ENV} "
-                        f"or {DEFAULT_CACHE_DIR!r})")
+                        help="store root: a run cache, serve store or fuzz corpus "
+                        f"(default: ${CACHE_DIR_ENV} or {DEFAULT_CACHE_DIR!r})")
     ap = argparse.ArgumentParser(
         prog="python -m repro.perf.cache",
-        description="Inspect and maintain the content-addressed run cache.",
+        description="Inspect and maintain a content-addressed store.",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
-    sub.add_parser("stats", parents=[common],
-                   help="entry count, bytes, per-function breakdown")
-    gcp = sub.add_parser("gc", parents=[common],
-                         help="delete entries by age / byte budget")
+    sub.add_parser("stats", parents=[common], help="entries, bytes, per-label counts")
+    gcp = sub.add_parser("gc", parents=[common], help="delete by age / byte budget")
     gcp.add_argument("--max-age-days", type=float, default=None)
     gcp.add_argument("--max-bytes", type=int, default=None)
-    gcp.add_argument("--all", action="store_true", help="wipe the cache entirely")
+    gcp.add_argument("--all", action="store_true", help="wipe every entry")
     vp = sub.add_parser("verify", parents=[common],
-                        help="re-run sampled entries and compare")
+                        help="check every checksum, re-run sampled points")
     vp.add_argument("--sample", type=int, default=5)
     vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--fix", action="store_true",
-                    help="delete mismatched/corrupt entries")
+    vp.add_argument("--fix", action="store_true", help="delete mismatched points")
     sub.add_parser("fingerprint", parents=[common],
                    help="print the repo-wide code fingerprint (CI cache key)")
     bp = sub.add_parser("bench", parents=[common],
@@ -601,20 +427,15 @@ def main(argv: list[str] | None = None) -> int:
         print(repo_fingerprint())
         return 0
     cache = RunCache(args.cache_dir)
-    if args.cmd == "stats":
-        return _cmd_stats(cache)
-    if args.cmd == "gc":
-        return _cmd_gc(cache, args)
-    if args.cmd == "verify":
-        return _cmd_verify(cache, args)
-    return _cmd_bench(cache, args)
+    if args.cmd == "bench":
+        return _cmd_bench(cache, args)
+    commands = {"stats": _cmd_stats, "gc": _cmd_gc, "verify": _cmd_verify}
+    return commands[args.cmd](cache.store, args)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    # `python -m repro.perf.cache` executes this file as `__main__`,
-    # a *second* module object whose `_TLS` activation state would be invisible
-    # to SweepRunner (which imports the canonical repro.perf.cache) —
-    # delegate to the canonical module so activate() is seen
+    # `python -m` runs this file as a second module object, `__main__`,
+    # whose activate() SweepRunner would never see: use the canonical one
     from repro.perf.cache import main as _canonical_main
 
     sys.exit(_canonical_main())

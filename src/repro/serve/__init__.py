@@ -3,12 +3,11 @@
 ``repro.serve`` wraps the deterministic experiment drivers, the
 persistent worker pool (:mod:`repro.perf.sweep`), and the
 content-addressed run cache (:mod:`repro.perf.cache`) in a job
-service:
+service. Completed runs live in the one content-addressed store
+(:mod:`repro.perf.store`): an entry per run key holding the
+``report.txt``, ``table.json``, ``run.json`` and ``trace.json``
+artifacts.
 
-* :mod:`repro.serve.store` — the **run store**: completed runs keyed
-  by descriptor-hash × code-fingerprint × observation key, artifacts
-  (``run.json``, report text, table rows, Perfetto trace) published
-  atomically.
 * :mod:`repro.serve.orchestrator` — the **job orchestrator**: a
   priority queue feeding worker threads, a per-job state machine
   (queued → running → done/failed/cancelled), dedup against the run
@@ -39,7 +38,6 @@ from repro.serve.orchestrator import (
     JobOrchestrator,
     OrchestratorClosed,
 )
-from repro.serve.store import RunStore
 
 __all__ = [
     "ExperimentExecutor",
@@ -48,7 +46,6 @@ __all__ = [
     "JobJournal",
     "JobOrchestrator",
     "OrchestratorClosed",
-    "RunStore",
     "ServeClient",
     "ServeError",
     "default_journal_path",

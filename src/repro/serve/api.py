@@ -32,18 +32,22 @@ from __future__ import annotations
 
 import json
 import time
+from pathlib import Path
 from typing import Any, Iterator
 
 from repro import __version__
+from repro.perf.store import Store
 from repro.serve.orchestrator import (  # noqa: F401 (STATES re-export)
     STATES,
     JobOrchestrator,
     OrchestratorClosed,
 )
-from repro.serve.store import ARTIFACT_TYPES, RunStore
 
 JSON_TYPE = "application/json"
 SSE_TYPE = "text/event-stream; charset=utf-8"
+
+#: artifact extension -> content type served over HTTP
+ARTIFACT_TYPES = {".txt": "text/plain; charset=utf-8", ".json": JSON_TYPE}
 
 
 class Response:
@@ -80,7 +84,7 @@ class ServeApp:
     def __init__(
         self,
         orchestrator: JobOrchestrator,
-        store: RunStore,
+        store: Store,
     ) -> None:
         self.orchestrator = orchestrator
         self.store = store
@@ -110,7 +114,7 @@ class ServeApp:
         reg = MetricsRegistry()
         self.orchestrator.register_metrics(reg)
         reg.gauge("serve.store_runs", self.store.count)
-        reg.gauge("serve.store_bytes", self.store.total_bytes)
+        reg.gauge("serve.store_bytes", self.store.size_bytes)
         cache = getattr(self.orchestrator.executor, "cache", None)
         if cache is not None:
             for field in cache.stats.snapshot():
@@ -196,21 +200,21 @@ class ServeApp:
         return Response(200, {
             "job": job.id,
             "key": job.key,
-            "artifacts": entry["artifacts"],
-            "meta": {k: v for k, v in entry.items() if k != "artifacts"},
+            "artifacts": sorted(entry.files),
+            "meta": entry.meta,
         })
 
     def artifact(self, job_id: str, name: str) -> Response:
         job = self.orchestrator.get(job_id)
         if job is None:
             return _error(404, f"no job {job_id!r}")
-        path = self.store.artifact_path(job.key, name)
-        if path is None:
+        entry = self.store.get(job.key)
+        if entry is None or name not in entry.files:
             return _error(404, f"job {job_id!r} has no artifact {name!r}")
         return Response(
             200,
-            path.read_bytes(),
-            ARTIFACT_TYPES.get(name, "application/octet-stream"),
+            entry.files[name],
+            ARTIFACT_TYPES.get(Path(name).suffix, "application/octet-stream"),
         )
 
     # -- routing -------------------------------------------------------

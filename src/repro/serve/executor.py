@@ -19,15 +19,13 @@ to tuples so a spec resolves to exactly the kwargs a direct
 ``repro.cli`` invocation would produce, and so the run key below is
 canonical.
 
-The **run key** is the service-level twin of the run cache's key:
-
-    sha256( descriptor(schema, experiment, sorted kwargs)
-            × code_fingerprint(experiment module)
-            × repr(ObsConfig) )
-
-Identical submissions from any number of clients therefore collapse
-onto one key; editing any code the experiment can reach changes the
-fingerprint and honestly re-runs. Execution happens under the shared
+The **run key** is the store's content key
+(:func:`repro.perf.store.content_key`) — the one recipe the run cache
+uses too — over the experiment id and kwargs, the experiment module's
+code fingerprint, and ``repr(ObsConfig)``. Identical submissions from
+any number of clients therefore collapse onto one key; editing any
+code the experiment can reach changes the fingerprint and honestly
+re-runs. Execution happens under the shared
 :class:`~repro.perf.cache.RunCache` (activated on the worker's
 thread), so even two *different* jobs overlapping in sweep points
 share point-level results.
@@ -35,7 +33,6 @@ share point-level results.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import json
 import time
@@ -202,13 +199,13 @@ class ExperimentExecutor:
     def key_for(self, spec: dict) -> str:
         """The run key: descriptor × code fingerprint × obs key."""
         from repro.perf.cache import code_fingerprint
+        from repro.perf.store import content_key
 
         if isinstance(spec, dict) and "fuzz" in spec:
-            kwargs = self.resolve_fuzz(spec)
-            descriptor = repr((EXECUTOR_SCHEMA, "fuzz", sorted(kwargs.items())))
-            fingerprint = code_fingerprint("repro.fuzz.campaign")
-            payload = f"{descriptor}\n{fingerprint}\n"
-            return hashlib.sha256(payload.encode()).hexdigest()
+            return content_key(
+                EXECUTOR_SCHEMA, "fuzz", self.resolve_fuzz(spec),
+                code_fingerprint("repro.fuzz.campaign"),
+            )
 
         from repro.experiments import ALL_EXPERIMENTS
 
@@ -218,10 +215,10 @@ class ExperimentExecutor:
         # serial run of the same spec (gated by the cycle-identity
         # tests), so both dedupe onto one store entry.
         kwargs.pop("partitions", None)
-        descriptor = repr((EXECUTOR_SCHEMA, exp_id, sorted(kwargs.items())))
-        fingerprint = code_fingerprint(ALL_EXPERIMENTS[exp_id].__module__)
-        payload = f"{descriptor}\n{fingerprint}\n{obs_cfg!r}"
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return content_key(
+            EXECUTOR_SCHEMA, exp_id, kwargs,
+            code_fingerprint(ALL_EXPERIMENTS[exp_id].__module__), repr(obs_cfg),
+        )
 
     # -- execution -----------------------------------------------------
     def execute(
@@ -231,7 +228,7 @@ class ExperimentExecutor:
         job_info: dict | None = None,
     ) -> tuple[dict, dict[str, bytes]]:
         """Run the experiment and build its artifacts; returns
-        ``(meta, artifacts)`` for :meth:`RunStore.publish`.
+        ``(meta, artifacts)``, published to the store by the orchestrator.
 
         ``progress`` (when given) receives aggregated sweep progress
         dicts — ``{"done", "total", "cache_hits", "point"}`` — once

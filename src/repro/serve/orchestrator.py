@@ -608,7 +608,9 @@ class JobOrchestrator:
                     # cancelled too late to interrupt: discard, never
                     # publish a run the client asked to kill
                     raise JobCancelled()
-                self.store.publish(job.key, meta, artifacts)
+                self.store.publish(
+                    job.key, artifacts, {"label": meta.get("experiment"), **meta}
+                )
             except JobCancelled:
                 self._finish(job, CANCELLED)
             except Exception:

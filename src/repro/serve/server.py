@@ -28,6 +28,7 @@ Startup/shutdown contract (``alewife-repro serve``):
 from __future__ import annotations
 
 import logging
+import os
 import signal
 import threading
 import time
@@ -37,10 +38,12 @@ from repro.serve.api import ServeApp
 from repro.serve.executor import ExperimentExecutor
 from repro.serve.journal import JobJournal, default_journal_path
 from repro.serve.orchestrator import JobOrchestrator
-from repro.serve.store import RunStore
 
 #: request body cap: job specs are small JSON documents
 MAX_BODY_BYTES = 1 << 20
+
+STORE_DIR_ENV = "REPRO_STORE_DIR"
+DEFAULT_STORE_DIR = ".repro_store"
 
 logger = logging.getLogger("repro.serve")
 
@@ -167,8 +170,9 @@ def build_app(
     jobs from a previous daemon survive, and keeps appending for the
     life of the app."""
     from repro.perf.cache import RunCache
+    from repro.perf.store import Store
 
-    store = RunStore(store_dir)
+    store = Store(store_dir or os.environ.get(STORE_DIR_ENV) or DEFAULT_STORE_DIR)
     journal = JobJournal(journal_path or default_journal_path(store.root))
     cache = None if no_cache else RunCache(cache_dir)
     executor = ExperimentExecutor(cache=cache, jobs=jobs)

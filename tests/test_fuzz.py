@@ -234,44 +234,40 @@ class TestCorpusStore:
 
 class TestStoreGC:
     def _publish(self, store, key: str, published: float) -> None:
-        store.publish(key, {"experiment": "x"}, {"report.txt": b"r" * 100})
+        store.publish(key, {"report.txt": b"r" * 100}, {"experiment": "x"})
         # backdate for age-based GC
-        import json as _json
-
-        path = store.run_dir(key) / "entry.json"
-        entry = _json.loads(path.read_bytes())
-        entry["published"] = published
-        path.write_bytes(_json.dumps(entry).encode())
+        os.utime(store.path(key), (published, published))
 
     def test_gc_by_age_and_bytes(self, tmp_path):
         import time
 
-        from repro.serve.store import RunStore
+        from repro.perf.store import Store
 
-        store = RunStore(tmp_path)
+        store = Store(tmp_path)
         now = time.time()
         self._publish(store, "aa" + "0" * 62, now - 10 * 86400)
         self._publish(store, "bb" + "0" * 62, now - 5 * 86400)
         self._publish(store, "cc" + "0" * 62, now)
         assert store.count() == 3
-        assert store.gc(max_age_days=7) == 1
+        assert len(store.gc(max_age_days=7)) == 1
         assert store.get("aa" + "0" * 62) is None
         assert store.count() == 2
         # oldest-first down to the byte budget
-        assert store.gc(max_bytes=store._run_bytes("cc" + "0" * 62)) == 1
+        cc_bytes = sum(i.size for i in store.walk() if i.key == "cc" + "0" * 62)
+        assert len(store.gc(max_bytes=cc_bytes)) == 1
         assert store.get("bb" + "0" * 62) is None
-        assert store.gc(everything=True) == 1
+        assert len(store.gc(everything=True)) == 1
         assert store.count() == 0
 
     def test_serve_store_cli(self, tmp_path, capsys):
-        from repro.serve.__main__ import main
-        from repro.serve.store import RunStore
+        from repro.perf.cache import main
+        from repro.perf.store import Store
 
-        store = RunStore(tmp_path)
-        store.publish("dd" + "0" * 62, {"experiment": "x"}, {"report.txt": b"r"})
-        assert main(["store", "stats", "--store-dir", str(tmp_path)]) == 0
-        assert "runs:      1" in capsys.readouterr().out
-        assert main(["store", "gc", "--all", "--store-dir", str(tmp_path)]) == 0
+        store = Store(tmp_path)
+        store.publish("dd" + "0" * 62, {"report.txt": b"r"}, {"label": "x"})
+        assert main(["stats", "--cache-dir", str(tmp_path)]) == 0
+        assert "entries:   1" in capsys.readouterr().out
+        assert main(["gc", "--all", "--cache-dir", str(tmp_path)]) == 0
         assert store.count() == 0
 
 

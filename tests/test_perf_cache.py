@@ -144,7 +144,7 @@ class TestRunCache:
         cache = RunCache(tmp_path)
         with activate(cache):
             SweepRunner(1).map(POINTS)
-            objects = sorted((tmp_path / "objects").glob("*/*.pkl"))
+            objects = sorted(tmp_path.glob("*/*/result.pkl"))
             assert len(objects) == 6
             blob = bytearray(objects[0].read_bytes())
             blob[-1] ^= 0xFF  # flip one payload bit
@@ -159,7 +159,7 @@ class TestRunCache:
         cache = RunCache(tmp_path)
         with activate(cache):
             SweepRunner(1).map(POINTS[:1])
-            path = next((tmp_path / "objects").glob("*/*.pkl"))
+            path = next(tmp_path.glob("*/*/result.pkl"))
             path.write_bytes(path.read_bytes()[:10])
             assert SweepRunner(1).map(POINTS[:1]) == EXPECT[:1]
         assert cache.stats.corrupt == 1
@@ -185,7 +185,7 @@ class TestRunCache:
     def test_no_active_cache_means_no_cache_io(self, tmp_path):
         cache = RunCache(tmp_path)
         assert SweepRunner(1).map(POINTS) == EXPECT
-        assert not (tmp_path / "objects").exists()
+        assert list(tmp_path.iterdir()) == []
         assert cache.stats.misses == 0
 
 
@@ -271,10 +271,13 @@ class TestCacheTool:
     def test_verify_detects_stale_result(self, tmp_path, capsys):
         cache = self._populate(tmp_path)
         # forge a plausible-but-wrong entry: valid digest, wrong result
-        path = sorted((tmp_path / "objects").glob("*/*.pkl"))[0]
-        entry = cache._decode(path.read_bytes())
-        entry["result"] = 424242
-        path.write_bytes(cache._encode(entry))
+        key = cache.store.keys()[0]
+        path = cache.store.path(key)
+        entry = cache.store.get(key)
+        payload = pickle.loads(entry.files["result.pkl"])
+        payload["result"] = 424242
+        cache.store.delete(key)
+        cache.store.publish(key, {"result.pkl": pickle.dumps(payload)}, entry.meta)
         rc = cache_main(
             ["verify", "--cache-dir", str(tmp_path), "--sample", "6", "--fix"]
         )
@@ -284,7 +287,7 @@ class TestCacheTool:
 
     def test_verify_counts_corrupt_files(self, tmp_path, capsys):
         self._populate(tmp_path)
-        path = sorted((tmp_path / "objects").glob("*/*.pkl"))[0]
+        path = sorted(tmp_path.glob("*/*/result.pkl"))[0]
         path.write_bytes(b"garbage")
         assert cache_main(["verify", "--cache-dir", str(tmp_path)]) == 1
         assert "1 corrupt" in capsys.readouterr().out
@@ -295,12 +298,12 @@ class TestCacheTool:
             ["gc", "--cache-dir", str(tmp_path), "--max-bytes", "0"]
         ) == 0
         assert "removed 6 entries" in capsys.readouterr().out
-        assert list(cache.entries()) == []
+        assert cache.store.keys() == []
 
     def test_gc_all_wipes_cost_sidecars_too(self, tmp_path):
         self._populate(tmp_path)
         assert cache_main(["gc", "--cache-dir", str(tmp_path), "--all"]) == 0
-        assert not list((tmp_path / "costs").glob("*/*.json"))
+        assert not list((tmp_path / "costs").glob("*/*/manifest.json"))
 
     def test_fingerprint_prints_hex(self, tmp_path, capsys):
         assert cache_main(["fingerprint"]) == 0
@@ -351,7 +354,7 @@ class TestScheduling:
         fp = code_fingerprint("tests.test_perf_cache")
         for p, cost in ((POINTS[0], 0.001), (POINTS[1], 9.0)):
             cache.put(cache.key_for(p, fp, ""), p, fp, "", 0, None, cost)
-            cache._obj_path(cache.key_for(p, fp, "")).unlink()
+            cache.store.delete(cache.key_for(p, fp, ""))
 
         def rank(i):  # mirrors SweepRunner._run_misses ordering
             cost = cache.recorded_cost(POINTS[i])
@@ -379,6 +382,28 @@ def _hammer_proc(cache_dir: str, rounds: int) -> None:
         cache.put(key, HAMMER_POINT, HAMMER_FP, "", 343, None, 0.1)
         entry = cache.get(key, HAMMER_POINT)
         assert entry is not None and entry["result"] == 343
+
+
+def _hammer_proc_under_gc(cache_dir: str, rounds: int) -> None:
+    """Like :func:`_hammer_proc`, but a concurrent gc may have removed
+    the entry between put and get: absent is fine, torn or corrupt is
+    not."""
+    cache = RunCache(cache_dir)
+    key = cache.key_for(HAMMER_POINT, HAMMER_FP, "")
+    for _ in range(rounds):
+        cache.put(key, HAMMER_POINT, HAMMER_FP, "", 343, None, 0.1)
+        entry = cache.get(key, HAMMER_POINT)
+        assert entry is None or entry["result"] == 343
+    assert cache.stats.corrupt == 0
+
+
+def _gc_proc(cache_dir: str, seconds: float) -> None:
+    """A second collector in its own process, for ``seconds``."""
+    cache = RunCache(cache_dir)
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        cache.store.gc(everything=True)
+    assert cache.stats.corrupt == 0
 
 
 class TestConcurrentWriters:
@@ -423,7 +448,67 @@ class TestConcurrentWriters:
         # no half-written temp files left anywhere in the cache tree
         assert list(tmp_path.rglob("*.tmp")) == []
         # exactly one object file for the key
-        assert len(list((tmp_path / "objects").glob("*/*.pkl"))) == 1
+        assert len(list(tmp_path.glob("*/*/result.pkl"))) == 1
+
+    def test_threads_and_processes_hammer_one_key_with_concurrent_gc(
+        self, tmp_path
+    ):
+        """gc running concurrently (a thread here plus a process) never
+        makes a publish fail or a read tear: it skips live writers' temp
+        directories and unpublishes whole entries only."""
+        cache = RunCache(tmp_path)
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(4)
+        done = threading.Event()
+
+        def hammer_thread():
+            try:
+                barrier.wait()
+                for _ in range(30):
+                    cache.put(cache.key_for(HAMMER_POINT, HAMMER_FP, ""),
+                              HAMMER_POINT, HAMMER_FP, "", 343, None, 0.1)
+                    entry = cache.get(
+                        cache.key_for(HAMMER_POINT, HAMMER_FP, ""), HAMMER_POINT
+                    )
+                    assert entry is None or entry["result"] == 343
+            except BaseException as exc:  # pragma: no cover - fail path
+                errors.append(exc)
+
+        def gc_thread():
+            while not done.is_set():
+                cache.store.gc(everything=True)
+
+        procs = [
+            multiprocessing.Process(
+                target=_hammer_proc_under_gc, args=(str(tmp_path), 30)
+            )
+            for _ in range(3)
+        ]
+        procs.append(multiprocessing.Process(
+            target=_gc_proc, args=(str(tmp_path), 2.0)
+        ))
+        threads = [threading.Thread(target=hammer_thread) for _ in range(4)]
+        collector = threading.Thread(target=gc_thread)
+        for p in procs:
+            p.start()
+        collector.start()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+        for p in procs:
+            p.join(60.0)
+        done.set()
+        collector.join(60.0)
+        assert not errors
+        assert all(p.exitcode == 0 for p in procs)
+        assert cache.stats.corrupt == 0
+        assert cache.stats.stores == 4 * 30
+        assert list(tmp_path.rglob("*.tmp")) == []
+        # the cache still works once the collectors stop
+        key = cache.key_for(HAMMER_POINT, HAMMER_FP, "")
+        cache.put(key, HAMMER_POINT, HAMMER_FP, "", 343, None, 0.1)
+        assert cache.get(key, HAMMER_POINT)["result"] == 343
 
     def test_stats_bump_rejects_unknown_field(self):
         from repro.perf.cache import CacheStats

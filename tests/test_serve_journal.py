@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.perf.store import Store
 from repro.serve.journal import (
     TERMINAL_EVENTS,
     JobJournal,
@@ -30,7 +31,6 @@ from repro.serve.orchestrator import (
     JobCancelled,
     JobOrchestrator,
 )
-from repro.serve.store import RunStore
 
 POLL = 0.005
 
@@ -166,7 +166,7 @@ class TestRestartRecovery:
         self, tmp_path
     ):
         path = tmp_path / "journal.jsonl"
-        store = RunStore(tmp_path / "store")
+        store = Store(tmp_path / "store")
 
         # daemon #1: one job running (held on a gate), two queued
         executor_a = FakeExecutor()
@@ -216,7 +216,7 @@ class TestRestartRecovery:
 
     def test_terminal_jobs_keep_answering_after_restart(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        store = RunStore(tmp_path / "store")
+        store = Store(tmp_path / "store")
         orch_a = JobOrchestrator(
             FakeExecutor(), store, workers=1, journal=JobJournal(path)
         )
@@ -235,7 +235,7 @@ class TestRestartRecovery:
         assert revived.key == job.key
         assert revived.trace_id == job.trace_id
         # ...and its artifacts are still fetchable through the store
-        assert store.read_artifact(revived.key, "report.txt") == b"out j\n"
+        assert store.get(revived.key).files["report.txt"] == b"out j\n"
         # resubmission of the same work dedups against the store
         again = orch_b.submit({"name": "j"})
         assert again.dedup is True
@@ -246,7 +246,7 @@ class TestRestartRecovery:
         story: submit, start, per-point progress, completion."""
         path = tmp_path / "journal.jsonl"
         orch = JobOrchestrator(
-            FakeExecutor(), RunStore(tmp_path / "store"), workers=1,
+            FakeExecutor(), Store(tmp_path / "store"), workers=1,
             journal=JobJournal(path),
         )
         orch.start()
@@ -277,7 +277,7 @@ class TestRestartRecovery:
         )
 
     def test_recover_without_journal_is_a_noop(self, tmp_path):
-        orch = JobOrchestrator(FakeExecutor(), RunStore(tmp_path / "s"))
+        orch = JobOrchestrator(FakeExecutor(), Store(tmp_path / "s"))
         assert orch.recover() == {
             "requeued": 0, "interrupted": 0, "terminal": 0,
         }
@@ -292,7 +292,7 @@ class TestStreamEvents:
     ):
         executor = FakeExecutor()
         gate = executor.hold("j")
-        orch = JobOrchestrator(executor, RunStore(tmp_path / "s"), workers=1)
+        orch = JobOrchestrator(executor, Store(tmp_path / "s"), workers=1)
         orch.start()
         job = orch.submit({"name": "j"})
         executor.started["j"].wait(5.0)
@@ -328,7 +328,7 @@ class TestStreamEvents:
 
     def test_snapshot_reports_queue_position(self, tmp_path):
         orch = JobOrchestrator(
-            FakeExecutor(), RunStore(tmp_path / "s"), workers=1
+            FakeExecutor(), Store(tmp_path / "s"), workers=1
         )
         # workers never started: all three stay queued
         orch.submit({"name": "a"}, priority=0)
@@ -344,14 +344,14 @@ class TestStreamEvents:
 
     def test_stream_unknown_job_raises(self, tmp_path):
         orch = JobOrchestrator(
-            FakeExecutor(), RunStore(tmp_path / "s"), workers=1
+            FakeExecutor(), Store(tmp_path / "s"), workers=1
         )
         with pytest.raises(KeyError):
             next(orch.stream_events("nope"))
 
     def test_stream_timeout_ends_without_terminal(self, tmp_path):
         orch = JobOrchestrator(
-            FakeExecutor(), RunStore(tmp_path / "s"), workers=1
+            FakeExecutor(), Store(tmp_path / "s"), workers=1
         )
         job = orch.submit({"name": "j"})  # never runs: no workers
         events = list(orch.stream_events(job.id, poll=POLL, timeout=0.1))

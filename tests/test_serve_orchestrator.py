@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.perf.store import Store
 from repro.serve.orchestrator import (
     CANCELLED,
     DONE,
@@ -21,7 +22,6 @@ from repro.serve.orchestrator import (
     JobOrchestrator,
     OrchestratorClosed,
 )
-from repro.serve.store import RunStore
 
 POLL = 0.005
 
@@ -76,7 +76,7 @@ class FakeExecutor:
 @pytest.fixture()
 def rig(tmp_path):
     executor = FakeExecutor()
-    store = RunStore(tmp_path / "store")
+    store = Store(tmp_path / "store")
     orch = JobOrchestrator(executor, store, workers=1)
     yield executor, store, orch
     orch.shutdown(drain=False, timeout=10.0)
@@ -146,7 +146,7 @@ class TestDedup:
         first = orch.submit({"name": "job"})
         orch.wait(first.id, timeout=10.0)
         assert first.state == DONE and not first.dedup
-        assert store.read_artifact(first.key, "report.txt") == b"result of job\n"
+        assert store.get(first.key).files["report.txt"] == b"result of job\n"
 
         second = orch.submit({"name": "job"})
         # answered at submission: terminal immediately, never queued

@@ -10,12 +10,12 @@ import threading
 
 import pytest
 
+from repro.perf.store import Store
 from repro.serve.api import ServeApp
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.executor import ExperimentExecutor
 from repro.serve.orchestrator import JobOrchestrator
 from repro.serve.server import ServeServer, build_app
-from repro.serve.store import RunStore
 
 #: the smallest real experiment spec (2 sweep points)
 TINY_SPEC = {"experiment": "fig8", "params": {"block_sizes": [64]}}
@@ -53,6 +53,49 @@ class TestExecutorSpec:
         )
         assert base != ex.key_for({**TINY_SPEC, "trace": True})
         assert len(base) == 64
+
+    def test_keys_come_from_the_store_content_key(self, monkeypatch):
+        from repro.experiments import ALL_EXPERIMENTS
+        from repro.perf import cache
+        from repro.perf.store import content_key
+        from repro.serve.executor import EXECUTOR_SCHEMA
+
+        ex = ExperimentExecutor()
+        # a serial and a partitioned spec dedupe to one key, built by
+        # the store's content key over the partition-free kwargs
+        base = {"experiment": "fig11", "quick": True}
+        exp_id, kwargs, obs_cfg = ex.resolve(base)
+        assert ex.key_for(base) == ex.key_for({**base, "partitions": 2})
+        assert ex.key_for(base) == content_key(
+            EXECUTOR_SCHEMA, exp_id, kwargs,
+            cache.code_fingerprint(ALL_EXPERIMENTS[exp_id].__module__),
+            repr(obs_cfg),
+        )
+        # the fuzz key depends on the repro.fuzz.campaign fingerprint
+        fuzz = {"fuzz": {"seeds": 3}}
+        fuzz_key = ex.key_for(fuzz)
+        assert fuzz_key == content_key(
+            EXECUTOR_SCHEMA, "fuzz", {"seeds": 3},
+            cache.code_fingerprint("repro.fuzz.campaign"),
+        )
+        real = cache.code_fingerprint
+        monkeypatch.setattr(cache, "code_fingerprint", lambda mod: (
+            "edited" if mod == "repro.fuzz.campaign" else real(mod)
+        ))
+        assert ex.key_for(fuzz) != fuzz_key
+        assert ex.key_for(base) == content_key(
+            EXECUTOR_SCHEMA, exp_id, kwargs,
+            real(ALL_EXPERIMENTS[exp_id].__module__), repr(obs_cfg),
+        )
+        monkeypatch.undo()
+        # editing a module the experiment reaches changes its key
+        serial_key = ex.key_for(base)
+        real_hash = cache._source_hash
+        monkeypatch.setattr(cache, "_source_hash", lambda path: (
+            "edited" if path.endswith("sim/engine.py") else real_hash(path)
+        ))
+        assert ex.key_for(base) != serial_key
+        assert ex.key_for({**base, "partitions": 2}) == ex.key_for(base)
 
     def test_bad_specs_rejected(self):
         ex = ExperimentExecutor()
